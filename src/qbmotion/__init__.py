@@ -18,8 +18,6 @@ from .coeffs import (
     EvaluationContext,
     asymptotics,
     evaluation_context,
-    exact_AB,
-    exact_CD,
     short_time,
     weak_coeffs,
 )
@@ -45,8 +43,6 @@ __all__ = [
     "CoefficientSet",
     "EvaluationContext",
     "evaluation_context",
-    "exact_AB",
-    "exact_CD",
     "weak_coeffs",
     "short_time",
     "asymptotics",

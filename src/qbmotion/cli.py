@@ -27,7 +27,7 @@ from .params import (
 )
 from .roots import gamma_critical, solve_characteristic_cubic
 from .special import I1, I2, eta, nu0
-from .coeffs import CoefficientSet, evaluation_context, short_time, weak_coeffs
+from .coeffs import CoefficientSet, evaluation_context, short_time
 from .oracle import compare, oracle_AB, oracle_CD
 from .dynamics import (
     coefficient_table,
@@ -252,12 +252,14 @@ def _cmd_coeffs(args, raw, variant, fh):
     _header(fh, raw, variant, [f"mode={args.mode}"])
     fh.write(",".join(cols) + "\n")
     a, b, c, d = coefficient_table(ts, p, variant, args.mode)
+    if args.weak:
+        aw, bw, cw, dw = coefficient_table(ts, p, variant, "weak")
     for i, t in enumerate(ts):
         row = [t * sc.time, a[i] * sc.drift_a, b[i] * sc.drift_b,
                c[i] * sc.diff_c, d[i] * sc.diff_d]
         if args.weak:
-            w = weak_coeffs(float(t), p, variant)
-            row += [w.A * sc.drift_a, w.B * sc.drift_b, w.C * sc.diff_c, w.D * sc.diff_d]
+            row += [aw[i] * sc.drift_a, bw[i] * sc.drift_b, cw[i] * sc.diff_c,
+                    dw[i] * sc.diff_d]
         if args.short:
             if t > 0:
                 with warnings.catch_warnings():

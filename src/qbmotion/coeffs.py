@@ -31,7 +31,7 @@ from .errors import (
 )
 from .params import ModelParams, ModelVariant, effective_frequency_squared
 from .roots import RootTriple, gamma_critical, solve_characteristic_cubic
-from .special import EULER_GAMMA, I1, I2, nu0_amplitude
+from .special import EULER_GAMMA, I1, I2, _i1_i2, _right_half, nu0_amplitude
 from . import green
 
 _ROTATIONS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -41,7 +41,10 @@ POLE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Values of the four coefficients at one time, with provenance."""
+    """Values of the four coefficients at one time, with provenance.
+
+    weak_coeffs called with an array of times fills every field with arrays.
+    """
 
     t: float
     A: float
@@ -49,12 +52,6 @@ class CoefficientSet:
     C: float
     D: float
     provenance: str = "exact"
-
-
-def _right_half(p: complex) -> complex:
-    if p.real < 0 or (p.real == 0 and p.imag < 0):
-        return -p
-    return p
 
 
 class IntermediateTables:
@@ -233,10 +230,6 @@ class IntermediateTables:
             sc_ += self.c1(k, alpha) * phase
             sd_ += self.d1(k, alpha) * phase
         return sc_, sd_
-
-
-def intermediate_tables(roots: RootTriple, params: ModelParams) -> IntermediateTables:
-    return IntermediateTables(roots, params)
 
 
 class EvaluationContext:
@@ -442,30 +435,14 @@ def evaluation_context(params: ModelParams, variant: ModelVariant) -> Evaluation
 # ---------------------------------------------------------------------------
 
 
-def exact_AB(t, roots: RootTriple, params: ModelParams):
-    """Exact drift coefficients A(t), B(t) for t >= 0."""
-    ctx = evaluation_context(params, roots.variant)
-    return ctx.drift(t)
-
-
-def exact_CD(t, roots: RootTriple, params: ModelParams):
-    """Exact diffusion coefficients C(t), D(t) for t > 0."""
-    ctx = evaluation_context(params, roots.variant)
-    return ctx.diffusion(t)
-
-
-def exact_coefficients(t: float, params: ModelParams, variant: ModelVariant) -> CoefficientSet:
-    ctx = evaluation_context(params, variant)
-    a, b = ctx.drift(t)
-    if t > 0:
-        c, d = ctx.diffusion(t)
-    else:
-        c, d = 0.0, 0.0
-    return CoefficientSet(t, a, b, c, d, "exact")
-
-
 def weak_coeffs(t, params: ModelParams, variant: ModelVariant) -> CoefficientSet:
-    """Leading-order coefficients in the coupling.
+    """Leading-order coefficients in the coupling, vectorized over t.
+
+    A scalar t gives a CoefficientSet of floats; an array t gives the same
+    dataclass with arrays of t's shape in every field. Points with t = 0, and
+    every point when gamma = 0, are exact zeros. This is the only
+    finite-time evaluation of the weak coefficients: coefficient_table's
+    weak mode and the CLI's weak columns all come from here.
 
     A_w, B_w have elementary antiderivatives. C_w, D_w integrate the noise
     kernel against the trigonometric factors of frequency a (the square root
@@ -477,36 +454,45 @@ def weak_coeffs(t, params: ModelParams, variant: ModelVariant) -> CoefficientSet
             e^{iat} (Wc^2 I2 - i a I1) - i a (ln(Wc/a) + Ci(at) + i Si(at))]
 
     with I1 = I1(Wc, t), I2 = I2(Wc, t). No quadrature is involved, so there
-    is no tolerance to set: C_w and D_w are as accurate as I1, I2, Si and Ci
-    (within 1e-13 relative of a 30-digit quadrature for Wc t in [0.04, 4000]
-    at the canonical point). As t -> 0 the logarithms in C_w cancel against
-    each other; at Wc t = 4e-3 the relative error of C_w is 4e-11.
+    is no tolerance to set and no dependence on the spacing of the t values:
+    C_w and D_w are as accurate as I1, I2, Si and Ci (within 1e-13 relative
+    of a 30-digit quadrature for Wc t in [0.04, 4000] at the canonical
+    point). As t -> 0 the logarithms in C_w cancel against each other; at
+    Wc t = 4e-3 the relative error of C_w is 4e-11.
     """
-    if t < 0:
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(t_arr < 0):
         raise DomainError("weak coefficients defined for t >= 0")
-    if t == 0.0 or params.gamma == 0.0:
-        return CoefficientSet(t, 0.0, 0.0, 0.0, 0.0, "weak")
-    wc = params.omega_c
-    mass, hbar = params.mass, params.hbar
-    kamp = mass * params.gamma * wc**2
-    a_f = np.sqrt(effective_frequency_squared(params, variant))
+    pos = t_arr > 0
+    tp = t_arr[pos]
+    out = [np.zeros(t_arr.shape) for _ in range(4)]
+    if tp.size and params.gamma != 0.0:
+        wc = params.omega_c
+        mass, hbar = params.mass, params.hbar
+        kamp = mass * params.gamma * wc**2
+        a_f = np.sqrt(effective_frequency_squared(params, variant))
 
-    ewt = np.exp(-wc * t)
-    cos_c = (wc + ewt * (a_f * np.sin(a_f * t) - wc * np.cos(a_f * t))) / (wc**2 + a_f**2)
-    sin_c = (a_f - ewt * (a_f * np.cos(a_f * t) + wc * np.sin(a_f * t))) / (wc**2 + a_f**2)
-    a_w = -2.0 * kamp * cos_c
-    b_w = (2.0 * kamp / (mass * a_f)) * sin_c
+        ewt = np.exp(-wc * tp)
+        cos_c = (wc + ewt * (a_f * np.sin(a_f * tp) - wc * np.cos(a_f * tp))) / (wc**2 + a_f**2)
+        sin_c = (a_f - ewt * (a_f * np.cos(a_f * tp) + wc * np.sin(a_f * tp))) / (wc**2 + a_f**2)
+        a_w = -2.0 * kamp * cos_c
+        b_w = (2.0 * kamp / (mass * a_f)) * sin_c
 
-    x = a_f * t
-    si, ci = sc.sici(x)
-    i1 = I1(wc, t).real
-    wi2 = wc**2 * I2(wc, t).real
-    scale = nu0_amplitude(params) / (wc**2 + a_f**2)
-    int_sin = scale * (np.sin(x) * wi2 - a_f * (np.cos(x) * i1 + np.log(wc / a_f) + ci))
-    int_cos = scale * (np.cos(x) * wi2 + a_f * (np.sin(x) * i1 + si))
-    c_w = hbar / (mass * a_f) * int_sin
-    d_w = hbar * int_cos
-    return CoefficientSet(t, a_w, b_w, c_w, d_w, "weak")
+        x = a_f * tp
+        si, ci = sc.sici(x)
+        i1, i2 = _i1_i2(wc, tp)
+        i1 = i1.real
+        wi2 = wc**2 * i2.real
+        scale = nu0_amplitude(params) / (wc**2 + a_f**2)
+        int_sin = scale * (np.sin(x) * wi2 - a_f * (np.cos(x) * i1 + np.log(wc / a_f) + ci))
+        int_cos = scale * (np.cos(x) * wi2 + a_f * (np.sin(x) * i1 + si))
+        c_w = hbar / (mass * a_f) * int_sin
+        d_w = hbar * int_cos
+        for arr, vals in zip(out, (a_w, b_w, c_w, d_w)):
+            arr[pos] = vals
+    if t_arr.ndim == 0:
+        return CoefficientSet(float(t_arr), *(float(v) for v in out), "weak")
+    return CoefficientSet(t_arr, *out, "weak")
 
 
 def short_time(t, params: ModelParams) -> CoefficientSet:

@@ -21,10 +21,8 @@ import numpy as np
 
 from .errors import DomainError, InconsistentParametersError
 from .params import ModelParams, ModelVariant, effective_frequency_squared
-from .roots import gamma_critical, solve_characteristic_cubic, ONE_REAL_PLUS_PAIR
+from .roots import gamma_critical, solve_characteristic_cubic
 from .coeffs import CoefficientSet, asymptotics, evaluation_context, weak_coeffs
-from .special import EULER_GAMMA, nu0_amplitude, nu0_regular
-import scipy.special as sc
 
 
 @dataclass(frozen=True)
@@ -91,43 +89,14 @@ class PropagationResult:
         )
 
 
-def _weak_table(tgrid: np.ndarray, params: ModelParams, variant: ModelVariant):
-    """Vectorized weak coefficients on a uniform grid (cumulative quadrature)."""
-    wc = params.omega_c
-    mass, hbar = params.mass, params.hbar
-    kamp = mass * params.gamma * wc**2
-    a_f = np.sqrt(effective_frequency_squared(params, variant))
-    ewt = np.exp(-wc * tgrid)
-    a_w = -2.0 * kamp * (wc + ewt * (a_f * np.sin(a_f * tgrid) - wc * np.cos(a_f * tgrid))) / (wc**2 + a_f**2)
-    b_w = (2.0 * kamp / (mass * a_f)) * (a_f - ewt * (a_f * np.cos(a_f * tgrid) + wc * np.sin(a_f * tgrid))) / (wc**2 + a_f**2)
-
-    amp = nu0_amplitude(params)
-    x = a_f * tgrid
-    si, ci = sc.sici(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cin = np.where(x > 0, EULER_GAMMA + np.log(np.where(x > 0, x, 1.0)) - ci, 0.0)
-        logt = np.where(tgrid > 0, np.log(np.where(tgrid > 0, tgrid, 1.0)), 0.0)
-    log_sin = (logt * (1.0 - np.cos(x)) - cin) / a_f
-    log_cos = (logt * np.sin(x) - si) / a_f
-    gl = EULER_GAMMA + np.log(wc)
-    part_sin = amp * (-gl * (1.0 - np.cos(x)) / a_f - log_sin)
-    part_cos = amp * (-gl * np.sin(x) / a_f - log_cos)
-
-    reg = np.zeros_like(tgrid)
-    reg[tgrid > 0] = nu0_regular(tgrid[tgrid > 0], params)
-    fs = reg * np.sin(a_f * tgrid)
-    fc = reg * np.cos(a_f * tgrid)
-    h = tgrid[1] - tgrid[0] if len(tgrid) > 1 else 0.0
-    cum_sin = np.concatenate([[0.0], np.cumsum((fs[1:] + fs[:-1]) * 0.5 * h)])
-    cum_cos = np.concatenate([[0.0], np.cumsum((fc[1:] + fc[:-1]) * 0.5 * h)])
-    c_w = hbar / (mass * a_f) * (part_sin + cum_sin)
-    d_w = hbar * (part_cos + cum_cos)
-    return a_w, b_w, c_w, d_w
-
-
 def coefficient_table(tgrid: np.ndarray, params: ModelParams, variant: ModelVariant,
                       mode: str = "exact"):
-    """(A, B, C, D) arrays on tgrid for the requested evaluation mode."""
+    """(A, B, C, D) arrays on tgrid for the requested evaluation mode.
+
+    mode="exact" evaluates the closed forms of EvaluationContext; mode="weak"
+    evaluates the closed-form weak coefficients of weak_coeffs. Neither
+    depends on the spacing of tgrid: each point is evaluated on its own.
+    """
     if params.gamma == 0.0:
         z = np.zeros_like(tgrid)
         return z, z.copy(), z.copy(), z.copy()
@@ -141,7 +110,8 @@ def coefficient_table(tgrid: np.ndarray, params: ModelParams, variant: ModelVari
             c[pos], d[pos] = ctx.diffusion(tgrid[pos])
         return a, b, c, d
     if mode == "weak":
-        return _weak_table(tgrid, params, variant)
+        w = weak_coeffs(tgrid, params, variant)
+        return w.A, w.B, w.C, w.D
     raise DomainError(f"unknown coefficient mode {mode!r}")
 
 

@@ -27,12 +27,6 @@ DEN_FLOOR = 1e-280
 _ROTATIONS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
-def cyclic(f, roots: RootTriple):
-    """Sum f(a, b, c) over the cyclic rotations of (z1, z2, z3)."""
-    zs = roots.as_tuple()
-    return sum(f(zs[i], zs[j], zs[k]) for (i, j, k) in _ROTATIONS)
-
-
 def _real_checked(value, scale=1.0, what="cyclic sum"):
     value = np.asarray(value)
     bound = IMAG_TOL * max(1.0, float(np.max(np.abs(value))), scale)

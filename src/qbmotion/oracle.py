@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from .errors import ConditioningError, DomainError, GridMismatchError, NumericalError
 from .params import ModelParams, ModelVariant, kernel_frequency_squared
@@ -62,6 +61,11 @@ class GridSolution:
 
     def splines(self):
         """(h, h', h'') as cubic Hermite interpolants."""
+        # imported on use: scipy.interpolate adds about 25 MB of memory to
+        # every process that imports the package; only the oracles and the
+        # integrator need it
+        from scipy.interpolate import CubicHermiteSpline
+
         h = CubicHermiteSpline(self.s, self.u, self.du)
         hp = CubicHermiteSpline(self.s, self.du, self.accel())
         hpp = CubicHermiteSpline(self.s, self.accel(), self.accel_rate())
@@ -183,54 +187,6 @@ def _simpson_weights(n: int) -> np.ndarray:
     return w / 3.0
 
 
-def _log_moment_integral(fvals: np.ndarray, grid: np.ndarray, c: float) -> float:
-    """int f(x) ln|c - x| dx over the grid's span, f piecewise linear.
-
-    Panel moments of the logarithm are integrated exactly, so the weak
-    singularity at x = c costs no accuracy.
-    """
-
-    def antider0(u):
-        # int ln|u| du, with the u ln|u| -> 0 limit at u = 0
-        u = np.asarray(u, dtype=float)
-        out = np.where(u == 0.0, 0.0, u * np.log(np.abs(np.where(u == 0.0, 1.0, u)))) - u
-        return out
-
-    def antider1(u):
-        u = np.asarray(u, dtype=float)
-        usq = u * u
-        out = 0.5 * np.where(usq == 0.0, 0.0, usq * np.log(np.abs(np.where(u == 0.0, 1.0, u)))) - 0.25 * usq
-        return out
-
-    a = grid[:-1]
-    b = grid[1:]
-    hpan = b - a
-    ua = a - c
-    ub = b - c
-    # shifted moments: m0 = int ln|c-x| dx, m1 = int (x-a) ln|c-x| dx per panel
-    m0 = antider0(ub) - antider0(ua)
-    m1 = (antider1(ub) - antider1(ua)) + (c - a) * m0
-    fa = fvals[:-1]
-    fb = fvals[1:]
-    return float(np.sum(fa * (m0 - m1 / hpan) + fb * (m1 / hpan)))
-
-
-def _nu_split_integral(fvals, grid, c, params, nu_regular_fn=None):
-    """int f(x) nu0(|c - x|) dx with the log part handled in closed form."""
-    n = len(grid) - 1
-    h = grid[1] - grid[0]
-    w = _simpson_weights(n) * h
-    sep = np.abs(grid - c)
-    reg = nu_regular_fn(sep) if nu_regular_fn is not None else nu0_regular(sep, params)
-    smooth = float(np.sum(w * fvals * reg))
-    amp = nu0_amplitude(params)
-    wc = params.omega_c
-    # nu_log(x) = amp * (-EULER_GAMMA - ln(Wc) - ln|x|)
-    plain = float(np.sum(w * fvals))
-    logpart = amp * (-(EULER_GAMMA + np.log(wc)) * plain - _log_moment_integral(fvals, grid, c))
-    return smooth + logpart
-
-
 def _fine_panels(panels: int, wc: float, t: float) -> int:
     """Panel count resolving both the requested base and the kernel scales.
 
@@ -337,6 +293,8 @@ def oracle_CD(
     # inner convolution W(tau) = int_0^t F(t-lam) nu(|tau-lam|) dlam
     w_c = nu_convolve(h_vals[::-1])
     w_d = nu_convolve(hp_vals[::-1])
+    from scipy.interpolate import CubicSpline
+
     w_c_sp = CubicSpline(grid, w_c)
     w_d_sp = CubicSpline(grid, w_d)
 

@@ -24,6 +24,14 @@ def test_coeffs_roundtrip(tmp_path):
     assert len(lines) == 6
     first = [float(x) for x in lines[1].split(",")]
     assert first == [0.0] * 9
+    # weak mode and the weak columns are one evaluation on the same grid
+    code, text = run(tmp_path, "coeffs", "--gamma", "0.0078125", "--omega-c", "40",
+                     "--t-max", "2", "-n", "5", "--mode", "weak")
+    assert code == 0
+    weak = [l for l in text.splitlines() if not l.startswith("#")]
+    assert len(weak) == len(lines)
+    for row, weak_row in zip(lines[1:], weak[1:]):
+        assert row.split(",")[5:] == weak_row.split(",")[1:]
 
 
 def test_coeffs_matches_library(tmp_path, canonical):

@@ -89,7 +89,7 @@ class TestDrift:
 
 class TestIntermediateTables:
     def test_d_to_c_ratio_is_z1(self, canonical, roots):
-        tab = coeffs.intermediate_tables(roots, canonical)
+        tab = coeffs.IntermediateTables(roots, canonical)
         alpha = 0.37 + 0.21j
         assert tab.d1(1, alpha) / tab.c1(1, alpha) == pytest.approx(roots.z1, rel=1e-12)
         for i in (1, 7, 10):
@@ -98,13 +98,13 @@ class TestIntermediateTables:
             )
 
     def test_c1_closure(self, canonical, roots):
-        tab = coeffs.intermediate_tables(roots, canonical)
+        tab = coeffs.IntermediateTables(roots, canonical)
         alpha = -0.9 + 1.4j
         total = sum(tab.c1(k, alpha) for k in range(4))
         assert abs(total) < 1e-12 * abs(tab.c1(1, alpha))
 
     def test_pole_collision_raises(self, canonical, roots):
-        tab = coeffs.intermediate_tables(roots, canonical)
+        tab = coeffs.IntermediateTables(roots, canonical)
         with pytest.raises(PoleCollisionError):
             tab.c1(1, roots.z1)
         with pytest.raises(PoleCollisionError):
@@ -112,7 +112,7 @@ class TestIntermediateTables:
 
     def test_single_operator_action(self, canonical, roots):
         # Chat1 on e^{-alpha t} equals the direct convolution quadrature
-        tab = coeffs.intermediate_tables(roots, canonical)
+        tab = coeffs.IntermediateTables(roots, canonical)
         alpha, t = 0.3 + 0.2j, 2.0
         want_c = _cquad(lambda x: green.g1_smooth(x, roots, canonical) * np.exp(-alpha * x), 0, t)
         want_d = _cquad(
@@ -123,7 +123,7 @@ class TestIntermediateTables:
         assert got_d == pytest.approx(want_d, abs=1e-8)
 
     def test_triple_operator_action(self, canonical, roots):
-        tab = coeffs.intermediate_tables(roots, canonical)
+        tab = coeffs.IntermediateTables(roots, canonical)
         t = 0.8
         for alpha in (0.3 + 0.2j, 1.5 - 0.7j):
             got_c, got_d = tab.c3_operator(alpha, t)
@@ -133,7 +133,7 @@ class TestIntermediateTables:
     def test_triple_operator_action_early(self, canonical, roots):
         # at t = 0.05 the e^{-Wc t}-fast entries and the folded e^{(alpha-Wc)t}
         # term are still of the size of the result
-        tab = coeffs.intermediate_tables(roots, canonical)
+        tab = coeffs.IntermediateTables(roots, canonical)
         t = 0.05
         for alpha in (0.3 + 0.2j, -0.5):
             got_c, got_d = tab.c3_operator(alpha, t)
@@ -143,7 +143,7 @@ class TestIntermediateTables:
     def test_odd_part_cancels_under_cosine_transform(self, canonical, roots):
         # EvaluationContext builds C3, D3 from the folded entries alone; that
         # is exact because the rest of the action is odd in alpha
-        tab = coeffs.intermediate_tables(roots, canonical)
+        tab = coeffs.IntermediateTables(roots, canonical)
 
         def folded(alpha, t):
             """Sum over the 13 entries, and the size of its largest terms."""
@@ -266,6 +266,17 @@ class TestWeak:
     def test_zero_at_origin(self, canonical):
         w = coeffs.weak_coeffs(0.0, canonical, ORIG)
         assert (w.A, w.B, w.C, w.D) == (0.0, 0.0, 0.0, 0.0)
+        # an array of times, t = 0 and both I1/I2 branches included, equals
+        # the scalar calls exactly; so does gamma = 0, where all are zero
+        ts = np.concatenate([[0.0], np.geomspace(1e-4, 50.0, 40)])
+        for p in (canonical, ModelParams(gamma=0.0)):
+            for variant in ModelVariant:
+                wv = coeffs.weak_coeffs(ts, p, variant)
+                for name in "tABCD":
+                    want = [getattr(coeffs.weak_coeffs(float(t), p, variant), name) for t in ts]
+                    assert np.array_equal(getattr(wv, name), want)
+                zeros = np.stack([wv.A, wv.B, wv.C, wv.D]) == 0.0
+                assert np.all(zeros[:, 0]) and np.all(zeros) == (p.gamma == 0.0)
 
     def test_drift_antiderivatives(self, canonical):
         # A_w(t) = 2 int eta cos, B_w = -(2/M W0) int eta sin, via quadrature

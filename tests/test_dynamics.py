@@ -93,6 +93,47 @@ class TestPropagate:
         assert fin.cov_pp == pytest.approx(spp, abs=1e-6)
 
 
+class TestWeakMode:
+    @pytest.mark.parametrize("variant", [ORIG, CL])
+    def test_table_is_the_closed_form_on_any_grid(self, canonical, variant, monkeypatch):
+        # the CLI's default grid, then the fine-then-coarse grid that the
+        # integrator tabulates on for t_end = 10, recorded as it is built
+        grids = [np.linspace(0.0, 10.0, 200)]
+        table = dynamics.coefficient_table
+
+        def recording(tgrid, *args):
+            grids.append(tgrid)
+            return table(tgrid, *args)
+
+        monkeypatch.setattr(dynamics, "coefficient_table", recording)
+        dynamics._stage_tables(10.0, 0.02 / canonical.omega_c, canonical, variant, "weak")
+        assert len(grids) == 2
+        steps = np.diff(grids[1])
+        assert np.max(steps) > 10.0 * np.min(steps)
+        for ts in grids:
+            w = coeffs.weak_coeffs(ts, canonical, variant)
+            got = table(ts, canonical, variant, "weak")
+            for g, want in zip(got, (w.A, w.B, w.C, w.D)):
+                assert np.array_equal(g, want)
+
+    @pytest.mark.parametrize("variant", [ORIG, CL])
+    def test_propagation_does_not_depend_on_t_end(self, canonical, variant):
+        # t_end = 10 tabulates on a fine-then-coarse grid, t_end = 3 on the
+        # uniform stage grid; the moments at t = 3 must not see the difference
+        st = dynamics.GaussianState(1.0, 0.0, 0.5, 0.0, 0.5)
+        long_ = dynamics.propagate(st, canonical, variant, "weak", t_end=10.0)
+        short = dynamics.propagate(st, canonical, variant, "weak", t_end=3.0)
+        i = int(np.argmin(np.abs(long_.t - 3.0)))
+        assert long_.t[i] == pytest.approx(short.t[-1], abs=1e-12)
+        mean = np.hypot(short.mean_q[-1], short.mean_p[-1])
+        assert abs(long_.mean_q[i] - short.mean_q[-1]) <= 1e-9 * mean
+        assert abs(long_.mean_p[i] - short.mean_p[-1]) <= 1e-9 * mean
+        spread = np.sqrt(short.cov_qq[-1] * short.cov_pp[-1])
+        assert long_.cov_qq[i] == pytest.approx(short.cov_qq[-1], rel=1e-9)
+        assert abs(long_.cov_qp[i] - short.cov_qp[-1]) <= 1e-9 * spread
+        assert long_.cov_pp[i] == pytest.approx(short.cov_pp[-1], rel=1e-9)
+
+
 class TestOmegaObs:
     def test_initial_value_is_bare_frequency(self, canonical):
         assert dynamics.omega_obs(0.0, canonical, ORIG) == pytest.approx(1.0)
