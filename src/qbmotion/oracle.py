@@ -4,12 +4,16 @@ A product-trapezoidal scheme integrates the homogeneous integro-differential
 equation; the exponential memory kernel makes the convolution a third state
 variable updated recursively (one multiply-add per step, exact for the
 trapezoidal weighting), so the whole solve is one constant 3x3 one-step
-matrix. Global error is O(step^2).
+matrix, applied as its powers in blocks of about sqrt(steps). Global error is
+O(step^2).
 
 The drift coefficients follow from two basis solutions and a 2x2 boundary
-solve; the diffusion coefficients from composite-Simpson quadrature of the
-single and (causally bounded) triple integrals, with the noise kernel's
-logarithmic part split off and integrated in closed form on each panel.
+solve. The diffusion coefficients come from composite-Simpson quadrature on
+one uniform base grid: the noise kernel's logarithmic part is split off and
+integrated in closed form on each panel, every kernel application is a
+Toeplitz product, and the causal inner integral of the triple term,
+int_0^u h(u - tau) W(tau) dtau, is evaluated at every grid node u by one
+Simpson/3-8 product rule written as a discrete convolution (FFT).
 """
 from __future__ import annotations
 
@@ -119,12 +123,20 @@ def volterra_solve(
     n = max(2, int(np.ceil(t_end / step)))
     h = t_end / n
     phi = _step_matrix(h, params, variant)
+    # y_i = phi^i y_0: with the powers phi^1 .. phi^B (B ~ sqrt(n)) the n
+    # steps become n/B block starts and one stacked product
+    block = int(np.ceil(np.sqrt(n)))
+    powers = np.empty((block, 3, 3))
+    powers[0] = phi
+    for k in range(1, block):
+        powers[k] = phi @ powers[k - 1]
+    starts = np.empty((-(-n // block), 3))
+    starts[0] = (init_value, init_slope, 0.0)
+    for k in range(1, len(starts)):
+        starts[k] = powers[-1] @ starts[k - 1]
     ys = np.empty((n + 1, 3))
-    ys[0] = (init_value, init_slope, 0.0)
-    y = ys[0]
-    for i in range(1, n + 1):
-        y = phi @ y
-        ys[i] = y
+    ys[0] = starts[0]
+    ys[1:] = (starts @ powers.reshape(-1, 3).T).reshape(-1, 3)[:n]
     sol = GridSolution(
         s=np.linspace(0.0, t_end, n + 1),
         u=ys[:, 0],
@@ -187,6 +199,41 @@ def _simpson_weights(n: int) -> np.ndarray:
     return w / 3.0
 
 
+def _causal_simpson(kern: np.ndarray, f: np.ndarray, h: float) -> np.ndarray:
+    """int_0^{mh} kern(mh - tau) f(tau) dtau at every node m = 0..n.
+
+    kern holds samples at tau_j = jh, j = 0..n, and each column of f one
+    integrand sampled there.
+    Even m use composite Simpson; odd m >= 3 use Simpson on [0, (m-3)h] and
+    the 3/8 rule on the last three panels (m = 3: the 3/8 rule alone); m = 1
+    is the trapezoid and m = 0 is zero. Away from the ends every one of these
+    rules weights node j by 2/3 + (2/3)[j odd], so the bulk of all n + 1 sums
+    is one lower-triangular Toeplitz product, done by FFT; each m then gets
+    its O(1) end corrections.
+    """
+    from scipy.linalg import matmul_toeplitz
+
+    n = len(kern) - 1
+    k2 = kern[:, None]
+    bulk_w = np.where(np.arange(n + 1) % 2 == 1, 4.0, 2.0)[:, None] / 3.0
+    out = matmul_toeplitz((kern, np.zeros(n + 1)), bulk_w * f)
+    # first node: Simpson's 1/3 instead of 2/3 (the 3/8 rule's extra 1/24
+    # at m = 3 comes with the odd tail below)
+    out[1:] -= k2[1:] * f[0] / 3.0
+    # last node of an even m: 1/3 instead of 2/3
+    out[2::2] -= k2[0] * f[2::2] / 3.0
+    # 3/8 tail of an odd m on nodes m-3 .. m: (17/24, 9/8, 9/8, 3/8)
+    # against the bulk's (2/3, 4/3, 2/3, 4/3)
+    if n >= 3:
+        odd = out[3::2]
+        for back, corr in ((3, 1.0 / 24.0), (2, -5.0 / 24.0), (1, 11.0 / 24.0), (0, -23.0 / 24.0)):
+            odd += corr * k2[back] * f[3 - back::2][: len(odd)]
+    out[0] = 0.0
+    if n >= 1:
+        out[1] = 0.5 * (kern[1] * f[0] + kern[0] * f[1])
+    return h * out
+
+
 def _fine_panels(panels: int, wc: float, t: float) -> int:
     """Panel count resolving both the requested base and the kernel scales.
 
@@ -215,8 +262,15 @@ def oracle_CD(
     kernel always evaluated at nonnegative argument. nu_regular_fn may
     substitute the smooth part of the kernel (used by causality tests).
 
-    Composite Simpson in each dimension on a uniform grid; `panels` sets the
-    base resolution, refined automatically to resolve the 1/Wc kernel scale.
+    Every integral uses one uniform base grid of n panels: composite Simpson
+    for the outer integrals, the kernel's smooth part and per-panel
+    closed-form log moments for the lambda integrals (Toeplitz products),
+    and for the causal inner integral int_0^u h(u-tau) W(tau) dtau the
+    Simpson/3-8 product rule of `_causal_simpson` at every node u, with h
+    and W sampled on the same grid. `panels` sets the base resolution,
+    refined automatically to resolve the 1/Wc kernel scale. The result
+    converges at second order in the panel width, the single integrals
+    alone included: the panel log moments take f as linear on each panel.
     """
     if t <= 0:
         raise DomainError("oracle_CD requires t > 0")
@@ -293,27 +347,14 @@ def oracle_CD(
     # inner convolution W(tau) = int_0^t F(t-lam) nu(|tau-lam|) dlam
     w_c = nu_convolve(h_vals[::-1])
     w_d = nu_convolve(hp_vals[::-1])
-    from scipy.interpolate import CubicSpline
-
-    w_c_sp = CubicSpline(grid, w_c)
-    w_d_sp = CubicSpline(grid, w_d)
 
     # eta(t-s) weighted s-integrals, written over sigma = t-s so the
-    # boundary layer sits at the grid origin
+    # boundary layer sits at the grid origin; the inner integral
+    # int_0^{t-sigma} h(t-sigma-tau) W(tau) dtau is needed at u = t-sigma,
+    # i.e. at every base-grid node, in reverse order
     eta_sig = -kamp * np.exp(-wc * grid)
-
-    def j_first(w_sp):
-        u = t - grid  # upper limits per sigma node
-        unit = np.linspace(0.0, 1.0, n + 1)
-        sw = _simpson_weights(n)
-        inner = np.empty(n + 1)
-        chunk = max(1, int(2e6 // (n + 1)))
-        for lo in range(0, n + 1, chunk):
-            hi = min(lo + chunk, n + 1)
-            taus = unit[None, :] * u[lo:hi, None]
-            vals = hsp(u[lo:hi, None] - taus) * w_sp(taus)
-            inner[lo:hi] = (vals @ sw) * (u[lo:hi] / n)
-        return float(np.sum(wts * eta_sig * inner))
+    inner = _causal_simpson(h_vals, np.column_stack((w_c, w_d)), h)[::-1]
+    first_c, first_d = (wts * eta_sig) @ inner
 
     # second part separates: G2smooth(s, tau) = h(s) a2(tau) + h'(s) b2(tau)
     ht, hpt, hppt = float(hsp(t)), float(hpsp(t)), float(hppsp(t))
@@ -332,8 +373,8 @@ def oracle_CD(
         tb = float(np.sum(wts * b2 * w_vals))
         return eta_h * ta + eta_hp * tb
 
-    j_c = j_first(w_c_sp) + j_second(w_c)
-    j_d = j_first(w_d_sp) + j_second(w_d)
+    j_c = float(first_c) + j_second(w_c)
+    j_d = float(first_d) + j_second(w_d)
 
     c = (hbar / mass) * s_c - (2.0 * hbar / mass**2) * j_c
     d = hbar * s_d - (2.0 * hbar / mass) * j_d

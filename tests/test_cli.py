@@ -122,6 +122,15 @@ def test_validate_small_grid(tmp_path):
     assert rows[0].startswith("t,A,B,C,D,")
 
 
+def test_validate_canonical_preset(tmp_path, capsys):
+    code, text = run(tmp_path, "validate", "--preset", "canonical")
+    assert code == 0
+    rows = [l for l in text.splitlines() if not l.startswith("#")]
+    assert rows[0] == "t,A,B,C,D,A_oracle,B_oracle,C_oracle,D_oracle"
+    assert len(rows) == 51
+    assert capsys.readouterr().err.splitlines()[-1] == "PASS"
+
+
 def test_validate_fails_with_absurd_tolerance(tmp_path):
     code, _ = run(tmp_path, "validate", "-n", "3", "--t-max", "0.5", "--tol", "1e-15")
     assert code == 2

@@ -7,6 +7,8 @@ from qbmotion.roots import solve_characteristic_cubic
 from qbmotion import coeffs, green, oracle
 
 ORIG = ModelVariant.ORIGINAL
+CL = ModelVariant.CALDEIRA_LEGGETT
+WS = ModelVariant.WEAK_SHIFTED_KERNEL
 
 
 class TestVolterra:
@@ -38,6 +40,56 @@ class TestVolterra:
         sol = oracle.volterra_solve(0.0, 1.0, 2.0, canonical, step=5e-4)
         assert np.isfinite(sol.residual)
         assert sol.residual < 1e-5
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 100, 101, 8000])
+    def test_blocked_recurrence_matches_stepping(self, canonical, n):
+        # the blocked powers reorder the roundoff of y_i = phi^i y_0 only
+        t_end = n * 5e-4
+        sol = oracle.volterra_solve(1.0, -0.5, t_end, canonical, step=t_end / (n - 0.5))
+        assert len(sol.s) == n + 1
+        phi = oracle._step_matrix(sol.step, canonical, ORIG)
+        y = np.array([1.0, -0.5, 0.0])
+        ref = [y]
+        for _ in range(n):
+            y = phi @ y
+            ref.append(y)
+        ref = np.array(ref)
+        got = np.column_stack((sol.u, sol.du, sol.mem))
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref), axis=0) == pytest.approx(
+            0.0, abs=1e-13 * float(np.max(np.abs(ref))))
+
+
+class TestCausalSimpson:
+    """The inner product rule against int_0^u e^{-a(u-tau)} cos(b tau) dtau."""
+
+    A, B, U = 1.3, 2.1, 2.0
+
+    def _errors(self, n):
+        h = self.U / n
+        tau = np.arange(n + 1) * h
+        got = oracle._causal_simpson(np.exp(-self.A * tau), np.cos(self.B * tau)[:, None], h)[:, 0]
+        a, b = self.A, self.B
+        exact = (a * np.cos(b * tau) + b * np.sin(b * tau) - a * np.exp(-a * tau)) / (a * a + b * b)
+        return np.abs(got - exact)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 32, 33])
+    def test_every_node_against_closed_form(self, n):
+        err = self._errors(n)
+        h = self.U / n
+        assert err[0] == 0.0
+        # trapezoid at m = 1, Simpson or Simpson plus 3/8 from m = 2 on
+        assert err[1] <= 0.5 * h**3
+        assert np.all(err[2:] <= 0.5 * h**4)
+
+    def test_fourth_order_under_halving(self):
+        coarse, fine = self._errors(64), self._errors(128)
+        # every coarse node m is node 2m of the fine grid; the maximum over
+        # m >= 2 mixes the even and odd rules
+        assert np.max(coarse[2:]) / np.max(fine[2:]) == pytest.approx(16.0, rel=0.2)
+        assert coarse[-1] / fine[-1] == pytest.approx(16.0, rel=0.2)
+        # the single trapezoid panel at m = 1 is third order
+        assert coarse[1] / fine[1] == pytest.approx(8.0, rel=0.2)
 
 
 class TestOracleAB:
@@ -122,11 +174,32 @@ class TestOracleCD:
         c_p, d_p = oracle.oracle_CD(t, canonical, nu_regular_fn=perturbed)
         assert c_p == base_c and d_p == base_d
 
-    def test_richardson_panels(self, canonical):
-        c64, d64 = oracle.oracle_CD(0.5, canonical, panels=64)
-        c96, d96 = oracle.oracle_CD(0.5, canonical, panels=96)
-        assert c96 == pytest.approx(c64, rel=5e-4)
-        assert d96 == pytest.approx(d64, rel=5e-4)
+    def test_richardson_panels(self):
+        # at Wc t = 20 the floor of 32 Wc t panels is 640; doubling it past
+        # the floor quarters the error (second order in the panel width)
+        p = ModelParams(gamma=3.5)
+        t = 20.0 / p.omega_c
+        c, d = coeffs.evaluation_context(p, CL).diffusion(t)
+        errs = []
+        for panels in (640, 1280):
+            c_o, d_o = oracle.oracle_CD(t, p, panels=panels, variant=CL)
+            errs.append((abs(c_o - c), abs(d_o - d)))
+        (ec1, ed1), (ec2, ed2) = errs
+        assert ec1 / ec2 == pytest.approx(4.0, rel=0.3)
+        assert ed1 / ed2 == pytest.approx(4.0, rel=0.3)
+
+    @pytest.mark.parametrize("variant, gamma", [(CL, 3.5), (WS, 2.0)],
+                             ids=["caldeira_leggett", "weak_shifted_kernel"])
+    def test_other_variants(self, variant, gamma):
+        # perfbench's oracle bound, taken against each point's own |X|
+        p = ModelParams(gamma=gamma, omega_c=40.0)
+        ts = np.array([0.5, 2.0, 8.0, 20.0]) / p.omega_c
+        ctx = coeffs.evaluation_context(p, variant)
+        c, d = ctx.diffusion(ts)
+        for i, t in enumerate(ts):
+            c_o, d_o = oracle.oracle_CD(float(t), p, variant=variant)
+            assert abs(c_o - c[i]) <= 2e-3 * abs(c[i])
+            assert abs(d_o - d[i]) <= 2e-3 * abs(d[i])
 
 
 class TestCompare:
